@@ -11,6 +11,16 @@
 // under the plain-MPI baseline and under an HMPI-selected group, exactly
 // as in the paper, where only the group-creation code differs), the
 // performance model of Figure 4, and drivers for both variants.
+//
+// Ownership: a parallel rank writes only the body it computes. The drivers
+// (RunHMPI, RunMPI, RunResilientHMPI) give each group member a view of the
+// caller's Problem in which that one body is a private deep copy and every
+// other body is shared read-only, so a run never modifies the caller's
+// Problem and no rank pays for copying bodies it does not own. Values of
+// other bodies reach a rank only through the halo exchange, into one
+// dense buffer per neighbour that is reused for the whole run. Clone
+// still deep-copies every body, for callers such as SerialRun that update
+// all of them.
 package em3d
 
 import (

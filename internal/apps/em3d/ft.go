@@ -31,9 +31,10 @@ func RunResilientHMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (FTResult,
 	err := rt.Run(func(h *hmpi.Process) error {
 		start := h.Proc().Now()
 		return h.RunResilient(hmpi.FixedPlan(model, pr.ModelArgs()...), func(g *hmpi.Group) error {
-			// Restart from the replicated initial field: every attempt is
-			// a fresh clone, so a partial previous attempt cannot leak.
-			local := pr.Clone()
+			// Restart from the replicated initial field: every attempt
+			// copies this member's body afresh, so a partial previous
+			// attempt cannot leak.
+			local := pr.ownCopy(g.Comm().Rank())
 			// The first attempt is timed from the start of the resilient
 			// region so that initial group creation counts as work, not
 			// recovery: a failure-free run reports zero recovery.

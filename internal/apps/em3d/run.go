@@ -1,7 +1,9 @@
 package em3d
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/hmpi"
 	"repro/internal/mpi"
@@ -33,33 +35,87 @@ func (pr *Problem) Clone() *Problem {
 	return cp
 }
 
-// lookupH resolves an H-node dependency of body `me`.
-func (pr *Problem) lookupH(me int, ref NodeRef, remote map[int][]float64) float64 {
-	if ref.Body < 0 {
-		return pr.Bodies[me].H[ref.Index]
+// ownCopy returns the view one rank runs on: body me is deep-copied, so
+// the rank's updates never touch pr, and every other body is shared with
+// pr. The parallel algorithm reads other bodies' values only through the
+// halo (their lengths aside), so sharing them is safe.
+func (pr *Problem) ownCopy(me int) *Problem {
+	cp := *pr
+	cp.Bodies = append([]*Body(nil), pr.Bodies...)
+	b := pr.Bodies[me]
+	cp.Bodies[me] = &Body{
+		E: append([]float64(nil), b.E...), H: append([]float64(nil), b.H...),
+		EDeps: b.EDeps, HDeps: b.HDeps,
 	}
-	vals, ok := remote[ref.Body]
-	if !ok {
-		return pr.Bodies[ref.Body].H[ref.Index] // serial path
-	}
-	return vals[ref.Index]
+	return &cp
 }
 
-func (pr *Problem) lookupE(me int, ref NodeRef, remote map[int][]float64) float64 {
-	if ref.Body < 0 {
-		return pr.Bodies[me].E[ref.Index]
+// halo holds one exchange phase's received boundary values: halo[j] is a
+// dense array over body j's field, non-nil exactly for the bodies the
+// rank reads from. One halo serves a whole run: every index read from
+// body j is in dep[me][j] and rewritten by each exchange, so the entries
+// outside it are never read.
+type halo [][]float64
+
+func newHalo(pr *Problem, me int, dep [][][]int, field func(int) []float64) halo {
+	h := make(halo, len(pr.Bodies))
+	for j := range h {
+		if j != me && len(dep[me][j]) > 0 {
+			h[j] = make([]float64, len(field(j)))
+		}
 	}
-	vals, ok := remote[ref.Body]
-	if !ok {
+	return h
+}
+
+// fill scatters the boundary values received from body j into its dense
+// array, decoding the payload in place.
+func (h halo) fill(me, j int, idx []int, data []byte) error {
+	if len(data) != 8*len(idx) {
+		return fmt.Errorf("em3d: body %d received %d bytes from %d, want %d values",
+			me, len(data), j, len(idx))
+	}
+	dense := h[j]
+	for k, i := range idx {
+		dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
+	}
+	return nil
+}
+
+// packBoundary encodes the values of field at the given indices: the
+// payload one neighbour needs.
+func packBoundary(field []float64, idx []int) []byte {
+	out := make([]byte, 8*len(idx))
+	for k, i := range idx {
+		binary.LittleEndian.PutUint64(out[8*k:], math.Float64bits(field[i]))
+	}
+	return out
+}
+
+// lookupH resolves an H-node dependency of body `me`.
+func (pr *Problem) lookupH(me int, ref NodeRef, remote halo) float64 {
+	switch {
+	case ref.Body < 0:
+		return pr.Bodies[me].H[ref.Index]
+	case remote == nil:
+		return pr.Bodies[ref.Body].H[ref.Index] // serial path
+	}
+	return remote[ref.Body][ref.Index]
+}
+
+func (pr *Problem) lookupE(me int, ref NodeRef, remote halo) float64 {
+	switch {
+	case ref.Body < 0:
+		return pr.Bodies[me].E[ref.Index]
+	case remote == nil:
 		return pr.Bodies[ref.Body].E[ref.Index]
 	}
-	return vals[ref.Index]
+	return remote[ref.Body][ref.Index]
 }
 
 // computeE updates the E values of body `me` from (local and remote) H
-// values. remote maps neighbour body index to a dense copy of that body's
-// relevant H array; nil remote reads neighbour bodies directly (serial).
-func (pr *Problem) computeE(me int, remote map[int][]float64) {
+// values. remote holds the received H boundary values of the neighbours;
+// nil remote reads neighbour bodies directly (serial).
+func (pr *Problem) computeE(me int, remote halo) {
 	b := pr.Bodies[me]
 	for n := range b.E {
 		sum := 0.0
@@ -71,7 +127,7 @@ func (pr *Problem) computeE(me int, remote map[int][]float64) {
 }
 
 // computeH updates the H values of body `me` from E values.
-func (pr *Problem) computeH(me int, remote map[int][]float64) {
+func (pr *Problem) computeH(me int, remote halo) {
 	b := pr.Bodies[me]
 	for n := range b.H {
 		sum := 0.0
@@ -127,7 +183,8 @@ const (
 // size must equal the number of subbodies. This one function serves both
 // the plain-MPI baseline and the HMPI version — exactly as in the paper,
 // where the computational code of the two programs is identical and only
-// group creation differs.
+// group creation differs. Rank i writes only pr.Bodies[i]; of the other
+// bodies it reads nothing but their sizes.
 func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 	p := len(pr.Bodies)
 	if comm.Size() != p {
@@ -138,14 +195,15 @@ func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 	}
 	me := comm.Rank()
 	body := pr.Bodies[me]
+	remoteH := newHalo(pr, me, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
+	remoteE := newHalo(pr, me, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
 	if opts.Overlap {
-		return runOverlap(comm, pr, opts)
+		return runOverlap(comm, pr, opts, remoteH, remoteE)
 	}
 
 	for it := 0; it < opts.Iters; it++ {
 		// Phase 1: gather remote H boundary values, then compute E.
-		remoteH, err := exchangeBoundary(comm, pr, me, tagHBoundary, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
-		if err != nil {
+		if err := exchangeBoundary(comm, pr, me, tagHBoundary, pr.DepH, body.H, remoteH); err != nil {
 			return err
 		}
 		comm.Proc().Compute(pr.KernelUnits(len(body.E)))
@@ -153,8 +211,7 @@ func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 			pr.computeE(me, remoteH)
 		}
 		// Phase 2: gather remote E boundary values, then compute H.
-		remoteE, err := exchangeBoundary(comm, pr, me, tagEBoundary, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
-		if err != nil {
+		if err := exchangeBoundary(comm, pr, me, tagEBoundary, pr.DepE, body.E, remoteE); err != nil {
 			return err
 		}
 		comm.Proc().Compute(pr.KernelUnits(len(body.H)))
@@ -193,7 +250,7 @@ func boundarySplit(deps [][]NodeRef) (interior, boundary int) {
 // nodes while the boundary values travel, waits for the receives, and
 // finishes with the boundary nodes. The send requests complete at the
 // end of the phase, after the compute they were hidden behind.
-func runOverlap(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
+func runOverlap(comm *mpi.Comm, pr *Problem, opts RunOptions, remoteH, remoteE halo) error {
 	me := comm.Rank()
 	body := pr.Bodies[me]
 	proc := comm.Proc()
@@ -201,10 +258,9 @@ func runOverlap(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 	intH, bndH := boundarySplit(body.HDeps)
 	for it := 0; it < opts.Iters; it++ {
 		// Phase 1: exchange H boundaries behind the interior E update.
-		ex := postBoundary(comm, pr, me, tagHBoundary, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
+		ex := postBoundary(comm, pr, me, tagHBoundary, pr.DepH, body.H)
 		proc.Compute(pr.KernelUnits(intE))
-		remoteH, err := ex.wait(pr, me, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
-		if err != nil {
+		if err := ex.wait(me, pr.DepH, remoteH); err != nil {
 			return err
 		}
 		proc.Compute(pr.KernelUnits(bndE))
@@ -213,10 +269,9 @@ func runOverlap(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 		}
 		mpi.WaitAll(ex.sends)
 		// Phase 2: exchange E boundaries behind the interior H update.
-		ex = postBoundary(comm, pr, me, tagEBoundary, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
+		ex = postBoundary(comm, pr, me, tagEBoundary, pr.DepE, body.E)
 		proc.Compute(pr.KernelUnits(intH))
-		remoteE, err := ex.wait(pr, me, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
-		if err != nil {
+		if err := ex.wait(me, pr.DepE, remoteE); err != nil {
 			return err
 		}
 		proc.Compute(pr.KernelUnits(bndH))
@@ -240,7 +295,7 @@ type boundaryExchange struct {
 // postBoundary starts an overlapped halo exchange: the receives are
 // posted before the sends (post-early, so arriving values land in the
 // already-posted requests), and the call returns without blocking.
-func postBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, field func(int) []float64) *boundaryExchange {
+func postBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, mine []float64) *boundaryExchange {
 	p := len(pr.Bodies)
 	ex := &boundaryExchange{}
 	for j := 0; j < p; j++ {
@@ -250,47 +305,34 @@ func postBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, field
 		ex.recvs = append(ex.recvs, comm.Irecv(j, tag))
 		ex.recvSrc = append(ex.recvSrc, j)
 	}
-	mine := field(me)
 	for i := 0; i < p; i++ {
 		if i == me || len(dep[i][me]) == 0 {
 			continue
 		}
-		vals := make([]float64, len(dep[i][me]))
-		for k, idx := range dep[i][me] {
-			vals[k] = mine[idx]
-		}
-		ex.sends = append(ex.sends, comm.IsendOwned(i, tag, mpi.Float64Bytes(vals)))
+		ex.sends = append(ex.sends, comm.IsendOwned(i, tag, packBoundary(mine, dep[i][me])))
 	}
 	return ex
 }
 
 // wait completes the receive half of the exchange and scatters the
-// payloads into dense per-body arrays, like exchangeBoundary's receive
-// loop. The send requests stay pending for the caller.
-func (ex *boundaryExchange) wait(pr *Problem, me int, dep [][][]int, field func(int) []float64) (map[int][]float64, error) {
-	remote := make(map[int][]float64)
+// payloads into the halo, like exchangeBoundary's receive loop. The send
+// requests stay pending for the caller.
+func (ex *boundaryExchange) wait(me int, dep [][][]int, remote halo) error {
 	for k, r := range ex.recvs {
 		data, _ := r.Wait()
 		j := ex.recvSrc[k]
-		vals := mpi.BytesFloat64(data)
-		if len(vals) != len(dep[me][j]) {
-			return nil, fmt.Errorf("em3d: body %d received %d values from %d, want %d",
-				me, len(vals), j, len(dep[me][j]))
+		if err := remote.fill(me, j, dep[me][j], data); err != nil {
+			return err
 		}
-		dense := make([]float64, len(field(j)))
-		for kk, idx := range dep[me][j] {
-			dense[idx] = vals[kk]
-		}
-		remote[j] = dense
 	}
-	return remote, nil
+	return nil
 }
 
 // exchangeBoundary sends the boundary values others need from subbody
-// `me` and receives the values `me` needs, returning them as sparse dense
-// arrays indexed by the owning body. dep[i][j] lists indices of body j's
-// field that body i reads; field(j) returns body j's current field values.
-func exchangeBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, field func(int) []float64) (map[int][]float64, error) {
+// `me`, whose current field values are mine, and receives the values `me`
+// needs into the halo remote. dep[i][j] lists indices of body j's field
+// that body i reads.
+func exchangeBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, mine []float64, remote halo) error {
 	p := len(pr.Bodies)
 	// Send to every body i that needs our values.
 	var reqs []*mpi.Request
@@ -298,34 +340,21 @@ func exchangeBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, f
 		if i == me || len(dep[i][me]) == 0 {
 			continue
 		}
-		vals := make([]float64, len(dep[i][me]))
-		mine := field(me)
-		for k, idx := range dep[i][me] {
-			vals[k] = mine[idx]
-		}
-		reqs = append(reqs, comm.Isend(i, tag, mpi.Float64Bytes(vals)))
+		reqs = append(reqs, comm.IsendOwned(i, tag, packBoundary(mine, dep[i][me])))
 	}
-	// Receive what we need. The received values are scattered back into
-	// dense arrays the compute phase can index by original node index.
-	remote := make(map[int][]float64)
+	// Receive what we need, scattered into dense arrays the compute phase
+	// can index by original node index.
 	for j := 0; j < p; j++ {
 		if j == me || len(dep[me][j]) == 0 {
 			continue
 		}
 		data, _ := comm.Recv(j, tag)
-		vals := mpi.BytesFloat64(data)
-		if len(vals) != len(dep[me][j]) {
-			return nil, fmt.Errorf("em3d: body %d received %d values from %d, want %d",
-				me, len(vals), j, len(dep[me][j]))
+		if err := remote.fill(me, j, dep[me][j], data); err != nil {
+			return err
 		}
-		dense := make([]float64, len(field(j)))
-		for k, idx := range dep[me][j] {
-			dense[idx] = vals[k]
-		}
-		remote[j] = dense
 	}
 	mpi.WaitAll(reqs)
-	return remote, nil
+	return nil
 }
 
 // Result reports one parallel run.
@@ -350,13 +379,12 @@ func RunHMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
 	var res Result
 	model := Model()
 	err := rt.Run(func(h *hmpi.Process) error {
-		local := pr.Clone()
 		// HMPI_Recon: the benchmark is the serial EM3D kernel over K
 		// nodes, truly representative of the application.
 		bench := hmpi.BenchmarkFunc{
 			Units: 1,
 			Run: func(p *mpi.Proc) error {
-				p.Compute(local.KernelUnits(local.K))
+				p.Compute(pr.KernelUnits(pr.K))
 				return nil
 			},
 		}
@@ -368,7 +396,7 @@ func RunHMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
 		if h.IsHost() {
 			// The model describes one iteration; the prediction for
 			// the whole run is iters times it.
-			pred, err := h.Timeof(model, local.ModelArgs()...)
+			pred, err := h.Timeof(model, pr.ModelArgs()...)
 			if err != nil {
 				return err
 			}
@@ -379,7 +407,7 @@ func RunHMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
 			h.Proc().TracePredict("em3d", res.Predicted)
 		}
 		if h.IsHost() || h.IsFree() {
-			g, err = h.GroupCreate(model, local.ModelArgs()...)
+			g, err = h.GroupCreate(model, pr.ModelArgs()...)
 			if err != nil {
 				return err
 			}
@@ -388,6 +416,7 @@ func RunHMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
 			return nil
 		}
 		comm := g.Comm()
+		local := pr.ownCopy(comm.Rank())
 		h.Proc().TraceRegionBegin("em3d")
 		start := h.Proc().Now()
 		if err := RunParallel(comm, local, opts); err != nil {
@@ -417,7 +446,6 @@ func RunMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
 	var res Result
 	p := len(pr.Bodies)
 	err := rt.Run(func(h *hmpi.Process) error {
-		local := pr.Clone()
 		world := h.CommWorld()
 		color := 0
 		if h.Rank() >= p {
@@ -427,6 +455,7 @@ func RunMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
 		if comm == nil {
 			return nil
 		}
+		local := pr.ownCopy(comm.Rank())
 		start := h.Proc().Now()
 		if err := RunParallel(comm, local, opts); err != nil {
 			return err

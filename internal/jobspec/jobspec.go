@@ -8,6 +8,7 @@
 package jobspec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -64,6 +65,11 @@ type Spec struct {
 	// and budgets. Ignored by hmpirun.
 	Tenant string `json:"tenant,omitempty"`
 }
+
+// ErrTooFewProcesses reports a well-formed spec whose algorithm needs more
+// processes than its cluster runs (one per machine). Normalize returns it
+// wrapped with the counts.
+var ErrTooFewProcesses = errors.New("jobspec: not enough processes")
 
 // Default returns the spec hmpirun's flag defaults describe: em3d, HMPI
 // mode, the paper's network and workload sizes.
@@ -141,8 +147,30 @@ func (s *Spec) Normalize() error {
 			return err
 		}
 	}
+	// The runtime places one process per machine; a job needing more
+	// would leave the ranks that wait for a group blocked forever.
+	have := paper9Size
+	if s.Cluster != nil {
+		have = s.Cluster.Size()
+	}
+	if need := s.processes(); need > have {
+		return fmt.Errorf("%w: %s needs %d, the cluster runs %d", ErrTooFewProcesses, s.App, need, have)
+	}
 	return nil
 }
+
+// processes returns how many processes the job's algorithm runs on: P
+// for em3d and jacobi, the M×M grid for matmul.
+func (s *Spec) processes() int {
+	if s.App == "matmul" {
+		return s.M * s.M
+	}
+	return s.P
+}
+
+// paper9Size is the machine count of the default cluster, taken once so
+// that Normalize does not build the cluster for every spec.
+var paper9Size = hnoc.Paper9().Size()
 
 // ClusterOrDefault returns the spec's cluster, or the paper's network.
 func (s *Spec) ClusterOrDefault() *hnoc.Cluster {

@@ -1,9 +1,12 @@
 package jobspec
 
 import (
+	"errors"
 	"flag"
 	"testing"
+	"time"
 
+	"repro/internal/hnoc"
 	"repro/internal/mapper"
 )
 
@@ -152,6 +155,40 @@ func TestExecuteAllApps(t *testing.T) {
 		if res.Makespan <= 0 || res.Time <= 0 {
 			t.Fatalf("%s/%s: degenerate result %+v", s.App, s.Mode, res)
 		}
+	}
+}
+
+// TestTooFewProcessesRejected is the regression test for jobs needing
+// more processes than the cluster runs: em3d with P=9 on FatNode3x8's
+// three machines used to block forever in Execute. Each such spec, in
+// both modes, must now fail fast with ErrTooFewProcesses.
+func TestTooFewProcessesRejected(t *testing.T) {
+	fat, _ := hnoc.FatNode3x8()
+	specs := []Spec{
+		{App: "em3d", Cluster: fat, Nodes: 9000, P: 9, Iters: 1},
+		{App: "em3d", Mode: ModeMPI, Cluster: fat, Nodes: 9000, P: 9, Iters: 1},
+		{App: "jacobi", Cluster: fat, Grid: 60, P: 4, Iters: 1},
+		{App: "matmul", N: 24, R: 4, M: 4, L: 8}, // 16 processes on Paper9's 9
+	}
+	for _, s := range specs {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Execute(s, ExecOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrTooFewProcesses) {
+				t.Errorf("%s/%s: Execute returned %v, want ErrTooFewProcesses", s.App, s.Mode, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s/%s: Execute did not return", s.App, s.Mode)
+		}
+	}
+	// A spec that fits exactly still runs.
+	fit := Spec{App: "jacobi", Cluster: fat, Grid: 60, P: 3, Iters: 1}
+	if _, err := Execute(fit, ExecOptions{}); err != nil {
+		t.Fatalf("jacobi P=3 on three machines: %v", err)
 	}
 }
 

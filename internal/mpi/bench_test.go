@@ -116,6 +116,45 @@ func BenchmarkMailboxAnySource(b *testing.B) {
 	}
 }
 
+// BenchmarkBacklogDrain measures taking messages off a deep per-pair
+// backlog, the shape of matmul's pivot fan-out: per op, rank 0 queues 256
+// messages to rank 1, signals on a separate communicator that the burst
+// is complete, and rank 1 drains them with directed receives and
+// acknowledges. The handshake guarantees every receive finds the whole
+// remaining burst queued ahead of it.
+func BenchmarkBacklogDrain(b *testing.B) {
+	const burst = 256
+	c := testCluster(2)
+	w := NewWorld(c, OneProcessPerMachine(c))
+	b.ReportAllocs()
+	b.ResetTimer()
+	err := w.Run(func(p *Proc) error {
+		comm := p.CommWorld()
+		ctl := comm.Dup()
+		payload := make([]byte, 64)
+		for i := 0; i < b.N; i++ {
+			if p.Rank() == 0 {
+				for k := 0; k < burst; k++ {
+					comm.SendOwned(1, 0, payload)
+				}
+				ctl.Send(1, 1, nil)
+				ctl.Recv(1, 2)
+			} else {
+				ctl.Recv(0, 1)
+				for k := 0; k < burst; k++ {
+					comm.Recv(0, 0)
+				}
+				ctl.Send(0, 2, nil)
+			}
+		}
+		return nil
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkAllreduceAlgorithms compares wall time and allocations of the
 // engine's Allreduce algorithms on an 8-rank in-process world at 256 KiB.
 func BenchmarkAllreduceAlgorithms(b *testing.B) {

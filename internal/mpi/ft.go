@@ -211,6 +211,7 @@ func (w *World) revokeCtx(id int64) {
 	w.revMu.Lock()
 	already := w.revoked[id]
 	w.revoked[id] = true
+	w.anyRevoked.Store(true)
 	w.revMu.Unlock()
 	if already {
 		return
@@ -222,6 +223,9 @@ func (w *World) revokeCtx(id int64) {
 
 // ctxRevoked reports whether a context id has been revoked.
 func (w *World) ctxRevoked(id int64) bool {
+	if !w.anyRevoked.Load() {
+		return false
+	}
 	w.revMu.RLock()
 	defer w.revMu.RUnlock()
 	return w.revoked[id]

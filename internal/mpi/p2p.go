@@ -26,13 +26,6 @@ type envelope struct {
 	pbuf   *poolBuf    // non-nil when data is pool-backed (copy-on-retain)
 }
 
-// mbKey indexes a mailbox bucket: every queued message lives in the FIFO
-// of its (communicator context, sender) pair.
-type mbKey struct {
-	ctx int64
-	src int // world rank of the sender
-}
-
 // recvSel describes what a receive or probe accepts: one context, a
 // single source (world rank) or a candidate set, and a tag or AnyTag.
 type recvSel struct {
@@ -54,14 +47,59 @@ func (s recvSel) matchesTag(tag int) bool {
 	return tag == s.tag
 }
 
+// fifo is a head-indexed envelope queue: the live entries are
+// buf[head:]. Taking the oldest entry advances head instead of shifting
+// the backlog, and the dead prefix is reclaimed by one copy once head
+// passes half the buffer, so draining a backlog of n costs O(n) in total
+// and the buffer stays within a small multiple of the deepest backlog.
+type fifo struct {
+	buf  []*envelope
+	head int
+}
+
+func (f *fifo) len() int { return len(f.buf) - f.head }
+
+// at returns the i'th oldest live entry.
+func (f *fifo) at(i int) *envelope { return f.buf[f.head+i] }
+
+func (f *fifo) push(e *envelope) { f.buf = append(f.buf, e) }
+
+// remove takes out the i'th oldest live entry. The entries ahead of it
+// shift back by one slot, so removing the oldest (the common case) moves
+// nothing.
+func (f *fifo) remove(i int) *envelope {
+	a := f.head + i
+	e := f.buf[a]
+	copy(f.buf[f.head+1:a+1], f.buf[f.head:a])
+	f.buf[f.head] = nil
+	f.head++
+	switch {
+	case f.head == len(f.buf):
+		f.buf, f.head = f.buf[:0], 0
+	case 2*f.head > len(f.buf):
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	return e
+}
+
+// ctxFifo is the queue of one (communicator context, sender) pair.
+type ctxFifo struct {
+	ctx int64
+	fifo
+}
+
 // mailbox holds the messages addressed to one process that no receive has
-// consumed yet, indexed by (context, sender) so a directed receive
-// inspects one short per-pair FIFO instead of scanning the whole backlog.
-// put/get form the only cross-goroutine interaction in the simulation.
+// consumed yet. Buckets are indexed by sender world rank, each a short
+// list of per-context FIFOs, so a directed receive inspects one FIFO
+// without hashing and an AnySource receive compares only the oldest match
+// of each candidate sender. put/get form the only cross-goroutine
+// interaction in the simulation.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      map[mbKey][]*envelope
+	bySrc  [][]ctxFifo // sender world rank -> that sender's per-context FIFOs
 	closed bool
 	kind   FailureKind // why the owner failed, for error reporting
 	owner  int         // world rank, for failure reporting
@@ -78,9 +116,10 @@ type mailbox struct {
 	maxSeq map[int]int64
 }
 
-func (m *mailbox) init() {
+// init prepares the mailbox for senders with world ranks in [0, senders).
+func (m *mailbox) init(senders int) {
 	m.cond = sync.NewCond(&m.mu)
-	m.q = make(map[mbKey][]*envelope)
+	m.bySrc = make([][]ctxFifo, senders)
 }
 
 // enableDedupe arms duplicate suppression; called before Run when a link
@@ -91,6 +130,42 @@ func (m *mailbox) enableDedupe() {
 		m.maxSeq = make(map[int]int64)
 	}
 	m.mu.Unlock()
+}
+
+// find returns the FIFO of (ctx, src), or nil if src never queued on ctx.
+// Called with m.mu held.
+func (m *mailbox) find(ctx int64, src int) *fifo {
+	qs := m.bySrc[src]
+	for i := range qs {
+		if qs[i].ctx == ctx {
+			return &qs[i].fifo
+		}
+	}
+	return nil
+}
+
+// bucket returns the FIFO of (ctx, src) for an enqueue, creating it on
+// first use. An empty FIFO of a context the sender has moved on from is
+// taken over, buffer included, so the per-sender list stays as short as
+// the number of contexts with messages queued at once. Called with m.mu
+// held.
+func (m *mailbox) bucket(ctx int64, src int) *fifo {
+	qs := m.bySrc[src]
+	spare := -1
+	for i := range qs {
+		if qs[i].ctx == ctx {
+			return &qs[i].fifo
+		}
+		if spare < 0 && qs[i].len() == 0 {
+			spare = i
+		}
+	}
+	if spare >= 0 {
+		qs[spare].ctx = ctx
+		return &qs[spare].fifo
+	}
+	m.bySrc[src] = append(qs, ctxFifo{ctx: ctx})
+	return &m.bySrc[src][len(qs)].fifo
 }
 
 func (m *mailbox) put(e *envelope) {
@@ -110,56 +185,48 @@ func (m *mailbox) put(e *envelope) {
 	}
 	e.order = m.enq
 	m.enq++
-	k := mbKey{ctx: e.ctx, src: e.src}
-	m.q[k] = append(m.q[k], e)
+	m.bucket(e.ctx, e.src).push(e)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
-// locate returns the bucket and index of the earliest-queued envelope the
-// selector accepts. Buckets are FIFO, so within one bucket the first tag
-// match is the earliest; across buckets the enqueue order decides, which
-// preserves the pre-indexing semantics (earliest queued wins, so
-// per-sender delivery stays non-overtaking). Called with m.mu held.
-func (m *mailbox) locate(sel recvSel) (mbKey, int, bool) {
-	if sel.src != AnySource {
-		k := mbKey{ctx: sel.ctx, src: sel.src}
-		for i, e := range m.q[k] {
-			if sel.matchesTag(e.tag) {
-				return k, i, true
-			}
-		}
-		return mbKey{}, 0, false
+// firstMatch returns the position of the oldest entry of f the selector's
+// tag accepts, or -1.
+func firstMatch(f *fifo, sel recvSel) int {
+	if f == nil {
+		return -1
 	}
-	var bestK mbKey
+	for i, n := 0, f.len(); i < n; i++ {
+		if sel.matchesTag(f.at(i).tag) {
+			return i
+		}
+	}
+	return -1
+}
+
+// locate returns the FIFO and position of the earliest-queued envelope
+// the selector accepts. FIFOs are in arrival order, so within one FIFO the
+// first tag match is the earliest; across senders the enqueue order
+// decides (earliest queued wins, so per-sender delivery stays
+// non-overtaking). Called with m.mu held.
+func (m *mailbox) locate(sel recvSel) (*fifo, int, bool) {
+	if sel.src != AnySource {
+		f := m.find(sel.ctx, sel.src)
+		i := firstMatch(f, sel)
+		return f, i, i >= 0
+	}
+	var best *fifo
 	bestI := -1
 	var bestOrder int64
 	for _, src := range sel.srcs {
-		k := mbKey{ctx: sel.ctx, src: src}
-		for i, e := range m.q[k] {
-			if !sel.matchesTag(e.tag) {
-				continue
+		f := m.find(sel.ctx, src)
+		if i := firstMatch(f, sel); i >= 0 {
+			if o := f.at(i).order; bestI < 0 || o < bestOrder {
+				best, bestI, bestOrder = f, i, o
 			}
-			if bestI < 0 || e.order < bestOrder {
-				bestK, bestI, bestOrder = k, i, e.order
-			}
-			break // FIFO bucket: later entries are younger
 		}
 	}
-	if bestI < 0 {
-		return mbKey{}, 0, false
-	}
-	return bestK, bestI, true
-}
-
-// pop removes and returns the envelope at (k, i). Called with m.mu held.
-func (m *mailbox) pop(k mbKey, i int) *envelope {
-	q := m.q[k]
-	e := q[i]
-	copy(q[i:], q[i+1:])
-	q[len(q)-1] = nil
-	m.q[k] = q[:len(q)-1]
-	return e
+	return best, bestI, bestI >= 0
 }
 
 // get blocks until a message matching the selector is present, removes it
@@ -172,8 +239,8 @@ func (m *mailbox) get(sel recvSel, giveUp func() error) *envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		if k, i, ok := m.locate(sel); ok {
-			return m.pop(k, i)
+		if f, i, ok := m.locate(sel); ok {
+			return f.remove(i)
 		}
 		if m.closed {
 			panic(&ProcessFailedError{Rank: m.owner, Kind: m.kind})
@@ -200,8 +267,8 @@ func (m *mailbox) peek(sel recvSel, giveUp func() error) *envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		if k, i, ok := m.locate(sel); ok {
-			return m.q[k][i]
+		if f, i, ok := m.locate(sel); ok {
+			return f.at(i)
 		}
 		if m.closed {
 			panic(&ProcessFailedError{Rank: m.owner, Kind: m.kind})
@@ -219,14 +286,14 @@ func (m *mailbox) peek(sel recvSel, giveUp func() error) *envelope {
 func (m *mailbox) tryGet(sel recvSel, peek bool) *envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k, i, ok := m.locate(sel)
+	f, i, ok := m.locate(sel)
 	if !ok {
 		return nil
 	}
 	if peek {
-		return m.q[k][i]
+		return f.at(i)
 	}
-	return m.pop(k, i)
+	return f.remove(i)
 }
 
 // seqSnapshot returns the current enqueue count: the wait loops of the

@@ -32,6 +32,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hnoc"
 	"repro/internal/trace"
@@ -52,6 +53,10 @@ type World struct {
 	failedMu sync.RWMutex
 	failed   map[int]bool        // world ranks marked failed (fault injection)
 	failKind map[int]FailureKind // why each failed rank is unreachable
+	// anyFailed is set under failedMu when the first rank fails, so the
+	// per-message failure checks of a failure-free run never take the
+	// read lock.
+	anyFailed atomic.Bool
 
 	// failHooks run after a rank is marked failed: transports close the
 	// rank's sockets, the HMPI runtime removes it from the free pool and
@@ -63,6 +68,9 @@ type World struct {
 	// extension, see ft.go).
 	revMu   sync.RWMutex
 	revoked map[int64]bool
+	// anyRevoked is set under revMu on the first revocation: the
+	// lock-free fast path of ctxRevoked, as anyFailed is for IsFailed.
+	anyRevoked atomic.Bool
 
 	// agreeTab holds in-flight failure agreements (ft.go).
 	agreeMu   sync.Mutex
@@ -218,6 +226,7 @@ func (w *World) failWithKind(rank int, kind FailureKind) {
 	}
 	w.failed[rank] = true
 	w.failKind[rank] = kind
+	w.anyFailed.Store(true)
 	w.failedMu.Unlock()
 	w.procs[rank].mbox.close(kind)
 	// Wake every blocked receiver so it can notice the failure.
@@ -266,6 +275,9 @@ func (p *Proc) opTick() {
 
 // IsFailed reports whether a world rank has been failed.
 func (w *World) IsFailed(rank int) bool {
+	if !w.anyFailed.Load() {
+		return false
+	}
 	w.failedMu.RLock()
 	defer w.failedMu.RUnlock()
 	return w.failed[rank]
@@ -275,6 +287,9 @@ func (w *World) IsFailed(rank int) bool {
 // partition). For a rank that has not failed it returns FailureCrash and
 // false.
 func (w *World) FailedKind(rank int) (FailureKind, bool) {
+	if !w.anyFailed.Load() {
+		return FailureCrash, false
+	}
 	w.failedMu.RLock()
 	defer w.failedMu.RUnlock()
 	if !w.failed[rank] {
@@ -448,7 +463,7 @@ type Stats struct {
 
 func newProc(w *World, rank int) *Proc {
 	p := &Proc{world: w, rank: rank, machine: w.place[rank]}
-	p.mbox.init()
+	p.mbox.init(len(w.place))
 	p.mbox.owner = rank
 	return p
 }

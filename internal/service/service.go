@@ -24,6 +24,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -193,7 +194,9 @@ func (s *Server) Cache() *mapper.SelectionCache { return s.cache }
 // error when the job is malformed or rejected; rejected jobs are kept and
 // queryable by ID (the returned snapshot names it).
 func (s *Server) Submit(spec jobspec.Spec) (JobInfo, error) {
-	if err := spec.Normalize(); err != nil {
+	// A spec too large for its cluster is well-formed but cannot be
+	// priced: it is kept as a rejected job, like other pricing failures.
+	if err := spec.Normalize(); err != nil && !errors.Is(err, jobspec.ErrTooFewProcesses) {
 		return JobInfo{}, err
 	}
 	// Price first, outside the lock: Predict runs a selection search

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/hnoc"
 	"repro/internal/jobspec"
@@ -132,6 +133,39 @@ func TestUnpriceableRejected(t *testing.T) {
 	info, err := s.Submit(spec)
 	if err == nil || info.State != StateRejected || !strings.Contains(info.Err, "unpriceable") {
 		t.Fatalf("unpriceable job admitted: %+v, %v", info, err)
+	}
+}
+
+// TestTooFewProcessesRejected: a job needing more processes than its
+// cluster runs (em3d P=9 on FatNode3x8's three machines, which used to
+// hang in execution) is rejected at submission with ErrTooFewProcesses,
+// promptly, and kept queryable.
+func TestTooFewProcessesRejected(t *testing.T) {
+	s := newServer(Config{Workers: 1})
+	fat, _ := hnoc.FatNode3x8()
+	spec := jobspec.Spec{App: "em3d", Cluster: fat, Nodes: 9000, P: 9, Iters: 1}
+	type out struct {
+		info JobInfo
+		err  error
+	}
+	done := make(chan out, 1)
+	go func() {
+		info, err := s.Submit(spec)
+		done <- out{info, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err == nil || !strings.Contains(o.err.Error(), jobspec.ErrTooFewProcesses.Error()) {
+			t.Fatalf("Submit returned %v, want the too-few-processes error", o.err)
+		}
+		if o.info.State != StateRejected {
+			t.Fatalf("job state %v, want rejected", o.info.State)
+		}
+		if got, err := s.Status(o.info.ID); err != nil || got.State != StateRejected {
+			t.Fatalf("rejected job not queryable: %+v, %v", got, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit did not return")
 	}
 }
 
