@@ -39,12 +39,10 @@ import (
 	"repro/internal/analysis/collmatch"
 	"repro/internal/analysis/deadlock"
 	"repro/internal/analysis/ftcontract"
-	"repro/internal/analysis/groupfree"
+	"repro/internal/analysis/lifecycle"
 	"repro/internal/analysis/modelcheck"
 	"repro/internal/analysis/reconpure"
-	"repro/internal/analysis/reqwait"
 	"repro/internal/analysis/retrycontract"
-	"repro/internal/analysis/runtimeclose"
 	"repro/internal/analysis/tagconst"
 	"repro/internal/analysis/tracescope"
 	"repro/internal/pmdl"
@@ -56,11 +54,11 @@ var all = []*analysis.Analyzer{
 	collmatch.Analyzer,
 	deadlock.Analyzer,
 	ftcontract.Analyzer,
-	groupfree.Analyzer,
+	lifecycle.GroupFree,
 	reconpure.Analyzer,
-	reqwait.Analyzer,
+	lifecycle.ReqWait,
 	retrycontract.Analyzer,
-	runtimeclose.Analyzer,
+	lifecycle.RuntimeClose,
 	tagconst.Analyzer,
 	tracescope.Analyzer,
 }
@@ -85,9 +83,7 @@ func main() {
 	list := flag.Bool("list", false, "print the available analyzers and exit")
 	flag.Parse()
 	if *list {
-		for _, a := range all {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
+		listAnalyzers(os.Stdout)
 		return
 	}
 	args := flag.Args()
@@ -96,6 +92,14 @@ func main() {
 		os.Exit(2)
 	}
 	os.Exit(run(args, *only, *tests, *jsonOut, os.Stdout))
+}
+
+// listAnalyzers prints the -list output: one analyzer per line, name
+// then doc, in registration order.
+func listAnalyzers(out io.Writer) {
+	for _, a := range all {
+		fmt.Fprintf(out, "%-14s %s\n", a.Name, a.Doc)
+	}
 }
 
 // run analyzes every argument — a directory (a trailing /... is

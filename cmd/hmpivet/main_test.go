@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -169,5 +170,87 @@ func TestFileArgRejected(t *testing.T) {
 	}
 	if code := run([]string{dir}, "", false, false, &out); code != 0 {
 		t.Fatalf("directory with Go source: exit = %d, want 0", code)
+	}
+}
+
+// TestAnalyzerRegistry pins the -list output — the analyzer names, in
+// order — and that -only still selects the lifecycle analyzers by their
+// own names: the names are the -only and //hmpivet:ignore spellings.
+func TestAnalyzerRegistry(t *testing.T) {
+	var out bytes.Buffer
+	listAnalyzers(&out)
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{
+		"bufalias", "collmatch", "deadlock", "ftcontract", "groupfree", "reconpure",
+		"reqwait", "retrycontract", "runtimeclose", "tagconst", "tracescope",
+	}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("-list names = %v, want %v", names, want)
+	}
+
+	picked, err := selectAnalyzers("groupfree,reqwait,runtimeclose")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, a := range picked {
+		got = append(got, a.Name)
+	}
+	if strings.Join(got, ",") != "groupfree,reqwait,runtimeclose" {
+		t.Fatalf("-only groupfree,reqwait,runtimeclose selected %v", got)
+	}
+
+	// One violation per lifecycle analyzer plus a tagconst one: the
+	// full run reports all four, the -only run exactly the three.
+	dir := t.TempDir()
+	src := `package scratch
+
+import "repro/internal/hmpi"
+
+type Group struct{}
+
+type Request struct{}
+
+type Comm struct{}
+
+type Process struct{}
+
+func (h *Process) GroupCreate(m any) (*Group, error) { return nil, nil }
+
+func (c *Comm) Irecv(src, tag int) *Request { return nil }
+
+func (c *Comm) Send(dst, tag int, data []byte) {}
+
+func nextTag() int { return 7 }
+
+func leaks(h *Process, c *Comm, cfg hmpi.Config) {
+	g, _ := h.GroupCreate(nil)
+	r := c.Irecv(0, 0)
+	rt, _ := hmpi.New(cfg)
+	c.Send(1, nextTag(), nil)
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ only, want string }{
+		{"", "groupfree,reqwait,runtimeclose,tagconst"},
+		{"groupfree,reqwait,runtimeclose", "groupfree,reqwait,runtimeclose"},
+	} {
+		out.Reset()
+		if code := run([]string{dir}, tc.only, false, false, &out); code != 1 {
+			t.Fatalf("-only %q: exit = %d, want 1; output:\n%s", tc.only, code, out.String())
+		}
+		var fired []string
+		for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+			fired = append(fired, strings.TrimSuffix(strings.Fields(line)[1], ":"))
+		}
+		sort.Strings(fired)
+		if strings.Join(fired, ",") != tc.want {
+			t.Fatalf("-only %q: findings by analyzer = %v, want %s:\n%s", tc.only, fired, tc.want, out.String())
+		}
 	}
 }

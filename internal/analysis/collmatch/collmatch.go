@@ -20,6 +20,7 @@ package collmatch
 import (
 	"go/ast"
 	"go/token"
+	"sort"
 
 	"repro/internal/analysis"
 )
@@ -64,8 +65,17 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, reported map[token.Pos]
 		if ifs.Else != nil {
 			elseOps = collOps(pass, ifs.Else)
 		}
+		// Ops are visited in name order: several ops at one call (a
+		// helper performing more than one collective) share a position,
+		// and only the first is reported.
 		flag := func(ops, other map[string]token.Pos) {
-			for op, pos := range ops {
+			names := make([]string, 0, len(ops))
+			for op := range ops {
+				names = append(names, op)
+			}
+			sort.Strings(names)
+			for _, op := range names {
+				pos := ops[op]
 				if _, balanced := other[op]; balanced {
 					continue
 				}

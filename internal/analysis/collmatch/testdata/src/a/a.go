@@ -72,3 +72,17 @@ func balancedThroughHelperOK(c *Comm) {
 		_ = c.Allreduce(nil, 0)
 	}
 }
+
+// syncAll performs three collectives. A guarded call to it is reported
+// once, for the alphabetically first op, on every run.
+func syncAll(c *Comm) {
+	c.Barrier()
+	_ = c.Bcast(0, nil)
+	_ = c.Allreduce(nil, 0)
+}
+
+func helperHidesSeveralCollectives(c *Comm) {
+	if c.Rank() == 0 {
+		syncAll(c) // want "collective Allreduce is guarded"
+	}
+}

@@ -6,13 +6,15 @@ package analysis
 // resolution is name-based — a call `helper(g)` resolves to every known
 // function named helper with a compatible arity, preferring candidates in
 // the caller's own package — and summaries merge conservatively across
-// candidates. That is enough to track HMPI Group/Comm handles across
-// helper-function boundaries (the flow-sensitive groupfree upgrade), to
-// know which functions perform collectives (collmatch), and to answer
-// def-use taint queries (rank-dependence) within one function body.
+// candidates. That is enough to track lifecycle handles (groups, requests,
+// runtimes: one summary per row of the rules.go table) across
+// helper-function boundaries, to know which functions perform collectives
+// (collmatch), and to answer def-use taint queries (rank-dependence)
+// within one function body.
 
 import (
 	"go/ast"
+	"slices"
 )
 
 // Program is the cross-package view: every function of every loaded
@@ -36,28 +38,18 @@ type Func struct {
 
 	// summary bits, computed by buildSummaries:
 
-	// FreesParam[i] is true when the i-th parameter is passed to
-	// GroupFree (directly or through a callee that frees it) on some
-	// path.
-	FreesParam []bool
+	// Discharges[row][i] is true when the i-th parameter reaches one of
+	// the row's discharges (GroupFree, Wait, Finalize, ..., directly or
+	// through a callee that discharges it) on some path.
+	Discharges [numRules][]bool
 	// EscapesParam[i] is true when the i-th parameter is stored,
 	// returned, captured, or passed to an unknown callee — ownership may
 	// transfer, so callers must not report the handle as leaked.
 	EscapesParam []bool
-	// WaitsParam[i] is true when the i-th parameter is completed as a
-	// nonblocking request — Wait or Test is called on it, or it is passed
-	// to WaitAll/WaitAny or to a callee that completes it — on some path.
-	WaitsParam []bool
-	// ReturnsOwned is true when the function returns a group handle it
-	// created itself (directly via a create method or through a callee
-	// that returns an owned handle): the caller inherits the obligation
-	// to free it.
-	ReturnsOwned bool
-	// ReturnsRequest is true when the function returns a nonblocking
-	// request it started itself (directly via Isend/Irecv/Ibcast/... or
-	// through a callee that returns one): the caller inherits the
-	// obligation to complete it.
-	ReturnsRequest bool
+	// Returns[row] is true when the function returns a handle of the row
+	// it acquired itself (directly or through a callee that returns one):
+	// the caller inherits the obligation to discharge it.
+	Returns [numRules]bool
 	// CollOps is the set of collective operation names the function
 	// performs, directly or through known callees (transitively).
 	CollOps map[string]bool
@@ -65,7 +57,7 @@ type Func struct {
 
 // NumParams returns the number of named parameters (the summary index
 // space).
-func (f *Func) NumParams() int { return len(f.FreesParam) }
+func (f *Func) NumParams() int { return len(f.EscapesParam) }
 
 // paramNames flattens the declared parameter names in order. Unnamed and
 // blank parameters occupy their index with "".
@@ -99,9 +91,10 @@ func BuildProgram(pkgs []*Package) *Program {
 				}
 				fn := &Func{Pkg: pkg, Decl: fd, Name: fd.Name.Name}
 				np := len(paramNames(fd))
-				fn.FreesParam = make([]bool, np)
+				for r := range fn.Discharges {
+					fn.Discharges[r] = make([]bool, np)
+				}
 				fn.EscapesParam = make([]bool, np)
-				fn.WaitsParam = make([]bool, np)
 				fn.CollOps = make(map[string]bool)
 				prog.funcs[fn.Name] = append(prog.funcs[fn.Name], fn)
 			}
@@ -179,17 +172,6 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// createMethods are the HMPI group-creating operations whose results are
-// owned handles. Shared by the summaries below and the groupfree
-// analyzer.
-var createMethods = map[string]bool{
-	"GroupCreate":                 true,
-	"GroupCreateChild":            true,
-	"GroupCreateWithOptions":      true,
-	"GroupCreateChildWithOptions": true,
-	"GroupRecreate":               true,
-}
-
 // CollectiveOps are the communicator operations that every member of a
 // communicator must call in the same order: a rank-dependent subset of
 // members entering one is a cross-rank consistency hazard (collmatch).
@@ -210,63 +192,11 @@ var CollectiveOps = map[string]bool{
 	"Iallreduce":    true,
 }
 
-// requestMethods are the nonblocking operations whose results are pending
-// requests the caller must complete with Wait/Test/WaitAll/WaitAny.
-// Shared by the summaries below and the reqwait analyzer.
-var requestMethods = map[string]bool{
-	"Isend":      true,
-	"IsendOwned": true,
-	"Irecv":      true,
-	"Ibcast":     true,
-	"Iallreduce": true,
-}
-
-// completeFuncs are the package-level functions that complete every
-// request (or slice of requests) passed to them.
-var completeFuncs = map[string]bool{
-	"WaitAll": true,
-	"WaitAny": true,
-}
-
-// completeMethods are the request methods that complete their receiver.
-var completeMethods = map[string]bool{
-	"Wait": true,
-	"Test": true,
-}
-
-// IsCreateCall reports whether the call creates an owned group handle
-// directly (h.GroupCreate and friends).
-func IsCreateCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && createMethods[sel.Sel.Name]
-}
-
-// IsRequestCall reports whether the call starts a nonblocking operation
-// directly (comm.Isend and friends).
-func IsRequestCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && requestMethods[sel.Sel.Name]
-}
-
-// IsCreateName reports whether name is one of the group-creating methods.
-func IsCreateName(name string) bool { return createMethods[name] }
-
-// IsRequestName reports whether name is one of the nonblocking operations
-// returning a pending request.
-func IsRequestName(name string) bool { return requestMethods[name] }
-
-// IsCompleteFunc reports whether name is a package-level function that
-// completes every request passed to it (WaitAll, WaitAny).
-func IsCompleteFunc(name string) bool { return completeFuncs[name] }
-
-// IsCompleteMethod reports whether name is a request method that
-// completes its receiver (Wait, Test).
-func IsCompleteMethod(name string) bool { return completeMethods[name] }
-
-// CallReturnsOwned reports whether a call to the named function with the
-// given argument count resolves only to functions returning an owned
-// group handle: the caller inherits the obligation to free the result.
-func (p *Program) CallReturnsOwned(name string, nargs int, from *Package) bool {
+// CallReturns reports whether a call to the named function with the
+// given argument count resolves only to functions returning a handle of
+// the rule row they acquired: the caller inherits the obligation to
+// discharge the result.
+func (p *Program) CallReturns(row int, name string, nargs int, from *Package) bool {
 	if p == nil || name == "" {
 		return false
 	}
@@ -275,35 +205,16 @@ func (p *Program) CallReturnsOwned(name string, nargs int, from *Package) bool {
 		return false
 	}
 	for _, c := range cands {
-		if !c.ReturnsOwned {
+		if !c.Returns[row] {
 			return false
 		}
 	}
 	return true
 }
 
-// CallReturnsRequest reports whether a call to the named function with
-// the given argument count resolves only to functions returning a pending
-// request: the caller inherits the obligation to complete it.
-func (p *Program) CallReturnsRequest(name string, nargs int, from *Package) bool {
-	if p == nil || name == "" {
-		return false
-	}
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if !c.ReturnsRequest {
-			return false
-		}
-	}
-	return true
-}
-
-// buildSummaries computes FreesParam/EscapesParam/ReturnsOwned/CollOps
-// for every function, iterating to a fixpoint so wrapper chains (a helper
-// that calls a helper that frees) converge.
+// buildSummaries computes every function's summary, iterating to a
+// fixpoint so wrapper chains (a helper that calls a helper that frees)
+// converge.
 func (p *Program) buildSummaries() {
 	changed := true
 	for round := 0; changed && round < 16; round++ {
@@ -328,35 +239,32 @@ func (p *Program) summarize(fn *Func) bool {
 			idx[n] = i
 		}
 	}
-	frees := make([]bool, len(names))
+	var discharges [numRules][]bool
+	var returns [numRules]bool
+	// owned[row] holds the local variables bound to handles of the row
+	// the function acquired itself (directly or via a returning callee).
+	var owned [numRules]map[string]bool
+	for r := range discharges {
+		discharges[r] = make([]bool, len(names))
+		owned[r] = make(map[string]bool)
+	}
 	escapes := make([]bool, len(names))
-	waits := make([]bool, len(names))
 	colls := make(map[string]bool)
-	returnsOwned := false
-	returnsRequest := false
-
-	// owned tracks local variables holding handles the function created
-	// (directly or via owned-returning callees); ownedReq does the same
-	// for started nonblocking requests.
-	owned := make(map[string]bool)
-	ownedReq := make(map[string]bool)
+	acquires := func(r int, call *ast.CallExpr) bool {
+		return Rules[r].Acquires(call) != "" || p.CallReturns(r, CalleeName(call), len(call.Args), fn.Pkg)
+	}
 
 	var scan func(n ast.Node) bool
 	scan = func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			// `g, err := h.GroupCreate(...)` or `g := mk(...)` where mk
-			// returns an owned handle.
-			if len(x.Rhs) == 1 {
-				if call, ok := x.Rhs[0].(*ast.CallExpr); ok {
-					if IsCreateCall(call) || p.returnsOwnedCall(call, fn.Pkg) {
-						if id, ok := x.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-							owned[id.Name] = true
-						}
-					}
-					if IsRequestCall(call) || p.returnsRequestCall(call, fn.Pkg) {
-						if id, ok := x.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-							ownedReq[id.Name] = true
+			// returns an acquired handle.
+			if call, ok := x.Rhs[0].(*ast.CallExpr); ok && len(x.Rhs) == 1 {
+				if id, ok := x.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+					for r := range owned {
+						if acquires(r, call) {
+							owned[r][id.Name] = true
 						}
 					}
 				}
@@ -365,11 +273,8 @@ func (p *Program) summarize(fn *Func) bool {
 		case *ast.ReturnStmt:
 			for _, e := range x.Results {
 				if id, ok := e.(*ast.Ident); ok {
-					if owned[id.Name] {
-						returnsOwned = true
-					}
-					if ownedReq[id.Name] {
-						returnsRequest = true
+					for r := range owned {
+						returns[r] = returns[r] || owned[r][id.Name]
 					}
 					if i, ok := idx[id.Name]; ok {
 						escapes[i] = true
@@ -377,11 +282,8 @@ func (p *Program) summarize(fn *Func) bool {
 					continue
 				}
 				if call, ok := e.(*ast.CallExpr); ok {
-					if IsCreateCall(call) || p.returnsOwnedCall(call, fn.Pkg) {
-						returnsOwned = true
-					}
-					if IsRequestCall(call) || p.returnsRequestCall(call, fn.Pkg) {
-						returnsRequest = true
+					for r := range returns {
+						returns[r] = returns[r] || acquires(r, call)
 					}
 				}
 			}
@@ -393,8 +295,8 @@ func (p *Program) summarize(fn *Func) bool {
 			}
 			// Classify each argument ourselves and stop the generic walk
 			// (return false below): a parameter passed to a call is
-			// judged by the callee's summary, not by the blanket
-			// bare-mention-escapes rule.
+			// judged by the rule table or the callee's summary, not by
+			// the blanket bare-mention-escapes rule.
 			descend := func(e ast.Expr) {
 				if e == nil {
 					return
@@ -411,50 +313,43 @@ func (p *Program) summarize(fn *Func) bool {
 				// plain function name, not a value use
 			case *ast.SelectorExpr:
 				// param.Method(...): a method call on the parameter is a
-				// read, not an escape of the receiver. A Wait/Test on a
-				// parameter additionally completes it as a request.
-				if id, ok := fun.X.(*ast.Ident); ok && completeMethods[fun.Sel.Name] && len(x.Args) == 0 {
-					if i, ok := idx[id.Name]; ok {
-						waits[i] = true
-					}
-				}
+				// read, not an escape of the receiver — unless the method
+				// discharges it (r.Wait(), rt.Finalize()).
 				descend(fun.X)
 			default:
 				descend(x.Fun)
-			}
-			switch name {
-			case "GroupFree":
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						if i, ok := idx[id.Name]; ok {
-							frees[i] = true
-							continue
-						}
-					}
-					descend(a)
-				}
-				return false
-			case "IsMember":
-				for _, a := range x.Args {
-					descend(a)
-				}
-				return false
-			case "WaitAll", "WaitAny":
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						if i, ok := idx[id.Name]; ok {
-							waits[i] = true
-							continue
-						}
-					}
-					descend(a)
-				}
-				return false
 			}
 			cands := p.Resolve(name, len(x.Args), fn.Pkg)
 			for _, c := range cands {
 				for op := range c.CollOps {
 					colls[op] = true
+				}
+			}
+			for r := range Rules {
+				rule := &Rules[r]
+				if id := rule.DischargedRecv(x); id != nil {
+					if i, ok := idx[id.Name]; ok {
+						discharges[r][i] = true
+					}
+				}
+				switch {
+				case rule.DischargesArgs(x):
+					take := func(name string) bool {
+						i, ok := idx[name]
+						if ok {
+							discharges[r][i] = true
+						}
+						return ok
+					}
+					for _, a := range x.Args {
+						DischargeArg(a, take, descend)
+					}
+					return false
+				case rule.IsReadOnly(x):
+					for _, a := range x.Args {
+						descend(a)
+					}
+					return false
 				}
 			}
 			for ai, a := range x.Args {
@@ -474,11 +369,10 @@ func (p *Program) summarize(fn *Func) bool {
 					continue
 				}
 				for _, c := range cands {
-					if ai < len(c.FreesParam) && c.FreesParam[ai] {
-						frees[i] = true
-					}
-					if ai < len(c.WaitsParam) && c.WaitsParam[ai] {
-						waits[i] = true
+					for r := range discharges {
+						if ai < len(c.Discharges[r]) && c.Discharges[r][ai] {
+							discharges[r][i] = true
+						}
 					}
 					if ai >= len(c.EscapesParam) || c.EscapesParam[ai] {
 						escapes[i] = true
@@ -507,12 +401,10 @@ func (p *Program) summarize(fn *Func) bool {
 	}
 	ast.Inspect(fn.Decl.Body, scan)
 
-	changed := returnsOwned != fn.ReturnsOwned || returnsRequest != fn.ReturnsRequest ||
-		len(colls) != len(fn.CollOps)
-	for i := range frees {
-		if frees[i] != fn.FreesParam[i] || escapes[i] != fn.EscapesParam[i] || waits[i] != fn.WaitsParam[i] {
-			changed = true
-		}
+	changed := returns != fn.Returns || len(colls) != len(fn.CollOps) ||
+		!slices.Equal(escapes, fn.EscapesParam)
+	for r := range discharges {
+		changed = changed || !slices.Equal(discharges[r], fn.Discharges[r])
 	}
 	if !changed {
 		for op := range colls {
@@ -522,55 +414,24 @@ func (p *Program) summarize(fn *Func) bool {
 			}
 		}
 	}
-	fn.FreesParam = frees
+	fn.Discharges = discharges
 	fn.EscapesParam = escapes
-	fn.WaitsParam = waits
-	fn.ReturnsOwned = returnsOwned
-	fn.ReturnsRequest = returnsRequest
+	fn.Returns = returns
 	fn.CollOps = colls
 	return changed
 }
 
-// returnsOwnedCall reports whether a call resolves only to functions that
-// return an owned handle (all candidates agree, so the caller reliably
-// inherits the obligation).
-func (p *Program) returnsOwnedCall(call *ast.CallExpr, from *Package) bool {
-	return p.CallReturnsOwned(CalleeName(call), len(call.Args), from)
-}
-
-// returnsRequestCall reports whether a call resolves only to functions
-// that return a pending request.
-func (p *Program) returnsRequestCall(call *ast.CallExpr, from *Package) bool {
-	return p.CallReturnsRequest(CalleeName(call), len(call.Args), from)
-}
-
-// FreesArg reports whether a call to the named function with the given
-// argument count frees its ai-th argument in every resolvable candidate.
-// Analyzers use it to treat `releaseGroup(g)` like a direct GroupFree.
-func (p *Program) FreesArg(name string, nargs, ai int, from *Package) bool {
+// DischargesArg reports whether a call to the named function with the
+// given argument count discharges its ai-th argument under the rule row
+// in every resolvable candidate. Analyzers use it to treat
+// `releaseGroup(g)` like a direct GroupFree.
+func (p *Program) DischargesArg(row int, name string, nargs, ai int, from *Package) bool {
 	cands := p.Resolve(name, nargs, from)
 	if len(cands) == 0 {
 		return false
 	}
 	for _, c := range cands {
-		if ai >= len(c.FreesParam) || !c.FreesParam[ai] {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitsArg reports whether a call to the named function with the given
-// argument count completes its ai-th argument as a request in every
-// resolvable candidate. Analyzers use it to treat `finish(r)` like a
-// direct Wait.
-func (p *Program) WaitsArg(name string, nargs, ai int, from *Package) bool {
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if ai >= len(c.WaitsParam) || !c.WaitsParam[ai] {
+		if ai >= len(c.Discharges[row]) || !c.Discharges[row][ai] {
 			return false
 		}
 	}
