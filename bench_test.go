@@ -33,6 +33,7 @@ func em3dRun(b *testing.B, nodes, iters int) (hmpiT, mpiT float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rtH.Finalize()
 	hres, err := em3d.RunHMPI(rtH, pr, em3d.RunOptions{Iters: iters})
 	if err != nil {
 		b.Fatal(err)
@@ -41,6 +42,7 @@ func em3dRun(b *testing.B, nodes, iters int) (hmpiT, mpiT float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rtM.Finalize()
 	mres, err := em3d.RunMPI(rtM, pr, em3d.RunOptions{Iters: iters})
 	if err != nil {
 		b.Fatal(err)
@@ -81,6 +83,7 @@ func mmRun(b *testing.B, r, n int, ls []int) (hmpiT, mpiT float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rtH.Finalize()
 	hres, err := matmul.RunHMPI(rtH, pr, ls, matmul.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -89,6 +92,7 @@ func mmRun(b *testing.B, r, n int, ls []int) (hmpiT, mpiT float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rtM.Finalize()
 	mres, err := matmul.RunMPI(rtM, pr, matmul.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -145,6 +149,7 @@ func BenchmarkTableATimeof(b *testing.B) {
 			b.Fatal(err)
 		}
 		res, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: 10})
+		rt.Finalize()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -436,6 +441,7 @@ func BenchmarkTableDJacobi(b *testing.B) {
 			b.Fatal(err)
 		}
 		hres, err := jacobi.RunHMPI(rtH, pr, false)
+		rtH.Finalize()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -444,6 +450,7 @@ func BenchmarkTableDJacobi(b *testing.B) {
 			b.Fatal(err)
 		}
 		mres, err := jacobi.RunMPI(rtM, pr, false)
+		rtM.Finalize()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,14 +40,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/chaos"
 	"repro/internal/hmpi"
 	"repro/internal/jobspec"
-	"repro/internal/mpi"
 	trc "repro/internal/trace"
 )
+
+// chartShardCap bounds the per-rank event ring of a charted run. No run
+// reaches it and rings grow only as events arrive, so the chart keeps the
+// run's whole history and costs only the events it records.
+const chartShardCap = 1 << 30
 
 func main() {
 	jf := jobspec.RegisterFlags(flag.CommandLine, jobspec.ModeBoth)
@@ -65,77 +70,89 @@ func main() {
 	if jf.Mode() == jobspec.ModeBoth && spec.Chaos == "" {
 		modes = []string{jobspec.ModeHMPI, jobspec.ModeMPI}
 	}
-	if (*traceFile != "" || *metricsFile != "") && len(modes) > 1 {
+	record := *traceFile != "" || *metricsFile != ""
+	if record && len(modes) > 1 {
 		fatal(errors.New("-tracefile/-metrics record a single run; pick -mode hmpi or -mode mpi"))
 	}
 
-	machines := len(spec.ClusterOrDefault().Machines)
 	for _, mode := range modes {
 		spec.Mode = mode
-		var lastTrace *mpi.Trace
-		var rec *trc.Recorder
-		opts := jobspec.ExecOptions{
-			OnRuntime: func(rt *hmpi.Runtime) {
-				if *trace {
-					lastTrace = rt.EnableTracing()
-				}
-				if *traceFile != "" || *metricsFile != "" {
-					rec = rt.EnableRecorder(spec.App, trc.Options{})
-				}
-			},
-			OnChaosKill: func(e chaos.Event) {
-				fmt.Printf("chaos: rank %d killed at t=%.6gs\n", e.Rank, float64(e.At))
-			},
-		}
-		if spec.Chaos != "" {
-			fmt.Printf("chaos: schedule %q seed %d\n", spec.Chaos, spec.ChaosSeed)
-		}
-		res, err := jobspec.Execute(spec, opts)
+		rec, err := run(os.Stdout, spec, record, *trace, *ganttWidth)
 		if err != nil {
 			fatal(err)
-		}
-		printResult(spec, res)
-		if *trace && lastTrace != nil {
-			fmt.Printf("--- %s %s timeline ---\n", res.App, mode)
-			if err := lastTrace.Gantt(os.Stdout, machines, *ganttWidth); err != nil {
-				fatal(err)
-			}
 		}
 		saveObs(rec, *traceFile, *metricsFile)
 	}
 }
 
+// run executes spec once and prints its outcome to w: the chaos schedule
+// and kills as they fire, the result line and, when chart is set, the
+// per-process timeline of width columns drawn from the run's recorder. A
+// recorder is attached when the run is recorded or charted; run returns
+// it, or nil.
+func run(w io.Writer, spec jobspec.Spec, record, chart bool, width int) (*trc.Recorder, error) {
+	var rec *trc.Recorder
+	opts := jobspec.ExecOptions{
+		OnRuntime: func(rt *hmpi.Runtime) {
+			switch {
+			case chart:
+				rec = rt.EnableRecorder(spec.App, trc.Options{ShardCap: chartShardCap})
+			case record:
+				rec = rt.EnableRecorder(spec.App, trc.Options{})
+			}
+		},
+		OnChaosKill: func(e chaos.Event) {
+			fmt.Fprintf(w, "chaos: rank %d killed at t=%.6gs\n", e.Rank, float64(e.At))
+		},
+	}
+	if spec.Chaos != "" {
+		fmt.Fprintf(w, "chaos: schedule %q seed %d\n", spec.Chaos, spec.ChaosSeed)
+	}
+	res, err := jobspec.Execute(spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	printResult(w, spec, res)
+	if chart && rec != nil {
+		fmt.Fprintf(w, "--- %s %s timeline ---\n", res.App, spec.Mode)
+		if err := rec.Data().Gantt(w, width); err != nil {
+			return nil, err
+		}
+	}
+	return rec, nil
+}
+
 // printResult prints the one-line summary of a finished run, matching the
 // historical hmpirun output formats.
-func printResult(spec jobspec.Spec, res *jobspec.Result) {
+func printResult(w io.Writer, spec jobspec.Spec, res *jobspec.Result) {
 	switch {
 	case spec.Chaos != "":
-		fmt.Printf("%s hmpi+chaos: time %.6gs work %.6gs recovery %.6gs attempts %d",
+		fmt.Fprintf(w, "%s hmpi+chaos: time %.6gs work %.6gs recovery %.6gs attempts %d",
 			res.App, float64(res.Time), float64(res.WorkTime), float64(res.Recovery), res.Attempts)
 		if res.App == "matmul" {
-			fmt.Printf(" l=%d", res.L)
+			fmt.Fprintf(w, " l=%d", res.L)
 		}
-		fmt.Printf(" selection %v\n", res.Selection)
+		fmt.Fprintf(w, " selection %v\n", res.Selection)
 		if len(res.Degraded) > 0 {
-			fmt.Printf("chaos: degraded machine pairs %v (cost model updated, group reselected)\n", res.Degraded)
+			fmt.Fprintf(w, "chaos: degraded machine pairs %v (cost model updated, group reselected)\n", res.Degraded)
 		}
 	case spec.Mode == jobspec.ModeHMPI:
-		fmt.Printf("%s hmpi: time %.6gs predicted %.6gs", res.App, float64(res.Time), res.Predicted)
+		fmt.Fprintf(w, "%s hmpi: time %.6gs predicted %.6gs", res.App, float64(res.Time), res.Predicted)
 		if res.App == "matmul" {
-			fmt.Printf(" l=%d", res.L)
+			fmt.Fprintf(w, " l=%d", res.L)
 		}
 		if res.App == "jacobi" {
-			fmt.Printf(" heights %v", res.Heights)
+			fmt.Fprintf(w, " heights %v", res.Heights)
 		}
-		fmt.Printf(" selection %v\n", res.Selection)
+		fmt.Fprintf(w, " selection %v\n", res.Selection)
 	default:
-		fmt.Printf("%s mpi:  time %.6gs", res.App, float64(res.Time))
+		fmt.Fprintf(w, "%s mpi:  time %.6gs", res.App, float64(res.Time))
 		if res.App == "jacobi" {
-			fmt.Printf(" heights %v", res.Heights)
+			fmt.Fprintf(w, " heights %v", res.Heights)
 		} else {
-			fmt.Printf(" selection %v", res.Selection)
+			fmt.Fprintf(w, " selection %v", res.Selection)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 

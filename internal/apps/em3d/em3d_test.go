@@ -198,6 +198,7 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtH.Finalize()
 	hres, err := RunHMPI(rtH, pr, RunOptions{Iters: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +207,7 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtM.Finalize()
 	mres, err := RunMPI(rtM, pr, RunOptions{Iters: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +235,7 @@ func TestHMPISelectionMapsBigBodiesToFastMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	res, err := RunHMPI(rt, pr, RunOptions{Iters: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +262,7 @@ func TestRunParallelSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	err = rt.Run(func(h *hmpi.Process) error {
 		return RunParallel(h.CommWorld(), pr, RunOptions{Iters: 1})
 	})

@@ -107,6 +107,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtH.Finalize()
 	hres, err := RunHMPI(rtH, pr, true)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +116,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtM.Finalize()
 	mres, err := RunMPI(rtM, pr, true)
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +142,7 @@ func TestHMPIBeatsUniformBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtH.Finalize()
 	hres, err := RunHMPI(rtH, pr, false)
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +151,7 @@ func TestHMPIBeatsUniformBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtM.Finalize()
 	mres, err := RunMPI(rtM, pr, false)
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +187,7 @@ func TestPredictedTracksSimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	res, err := RunHMPI(rt, pr, false)
 	if err != nil {
 		t.Fatal(err)
@@ -196,6 +201,7 @@ func TestPredictedTracksSimulated(t *testing.T) {
 func TestRunParallelValidation(t *testing.T) {
 	pr, _ := Generate(Config{Rows: 12, Cols: 4, Iters: 1, P: 3})
 	rt, _ := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(3, 10)})
+	defer rt.Finalize()
 	err := rt.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, []int{6, 6, 6}, false) // sums to 18 != 12
 		return err

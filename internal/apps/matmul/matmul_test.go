@@ -140,6 +140,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer rt.Finalize()
 			var got []float64
 			err = rt.Run(func(h *hmpi.Process) error {
 				c, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{CollectC: true})
@@ -176,6 +177,7 @@ func TestHMPIRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	res, err := RunHMPI(rt, pr, []int{3, 6}, RunOptions{CollectC: true})
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +208,7 @@ func TestMPIRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	res, err := RunMPI(rt, pr, RunOptions{CollectC: true})
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +235,7 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtH.Finalize()
 	hres, err := RunHMPI(rtH, pr, []int{9}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -240,6 +244,7 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rtM.Finalize()
 	mres, err := RunMPI(rtM, pr, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +293,7 @@ func TestRunParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	err = rt.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{})
 		return err
@@ -297,6 +303,7 @@ func TestRunParallelValidation(t *testing.T) {
 	}
 	badDist := NewHomogeneous(3, 7, 2)
 	rt2, _ := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(9, 10)})
+	defer rt2.Finalize()
 	err = rt2.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, badDist, RunOptions{})
 		return err
@@ -320,6 +327,7 @@ func TestTimeofOrdersBlockSizesConsistently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer rt.Finalize()
 		res, err := RunHMPI(rt, pr, []int{l}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -347,6 +355,7 @@ func TestHMPISearchPicksCompetitiveL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	res, err := RunHMPI(rt, pr, []int{3, 9, 15, 45}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -41,6 +41,7 @@ func runLinkChaosEM3D(t *testing.T, pr *em3d.Problem, spec string, seed int64) c
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("em3d-linkchaos", trace.Options{})
 	rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
 	if err := sched.Arm(rt.World(), seed, nil); err != nil {
@@ -82,6 +83,7 @@ func TestEM3DLinkChaosDegradedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer baseRT.Finalize()
 	base, err := em3d.RunResilientHMPI(baseRT, pr, em3d.RunOptions{Iters: 5})
 	if err != nil {
 		t.Fatal(err)

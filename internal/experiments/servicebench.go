@@ -50,6 +50,11 @@ type ServiceBench struct {
 	ColdWallNS    int64   `json:"cold_wall_ns"`
 	WarmWallNS    int64   `json:"warm_wall_ns"`
 	WarmSpeedup   float64 `json:"warm_speedup"`
+	// ColdEvals and WarmEvals hold, per round, the objective evaluations
+	// the round actually ran (value-layer cache misses): the exact,
+	// noise-free count behind WarmSpeedup's wall-clock ratio.
+	ColdEvals []int64 `json:"cold_evals"`
+	WarmEvals []int64 `json:"warm_evals"`
 	// CacheHitRate is the value layer's hits/(hits+misses) over the whole
 	// mix; CacheHits, CacheMisses and CacheEntries break it down.
 	CacheHitRate float64 `json:"cache_hit_rate"`
@@ -183,15 +188,18 @@ func ServiceBenchReport() (*ServiceBench, error) {
 	// Warm-vs-cold phase: sequential, minima over rounds, cache reset
 	// before every cold side.
 	for round := 0; round < speedupRounds; round++ {
-		srv.Cache().Reset()
+		srv.Cache().Reset() // zeroes the counters too
 		cold, err := sequentialBatch(srv, specs, refs, &bench.BitIdentical)
 		if err != nil {
 			return nil, err
 		}
+		coldEvals := srv.Cache().Stats().Misses
 		warm, err := sequentialBatch(srv, specs, refs, &bench.BitIdentical)
 		if err != nil {
 			return nil, err
 		}
+		bench.ColdEvals = append(bench.ColdEvals, coldEvals)
+		bench.WarmEvals = append(bench.WarmEvals, srv.Cache().Stats().Misses-coldEvals)
 		bench.Jobs += 2 * len(specs)
 		if ns := cold.Nanoseconds(); bench.ColdWallNS == 0 || ns < bench.ColdWallNS {
 			bench.ColdWallNS = ns

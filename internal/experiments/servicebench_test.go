@@ -16,8 +16,8 @@ func TestServiceBenchGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("jobs=%d throughput=%.0f jobs/sec warm=%.2fx solve-hit=%.0f%% value-hit=%.0f%%",
-		bench.Jobs, bench.JobsPerSec, bench.WarmSpeedup,
+	t.Logf("jobs=%d throughput=%.0f jobs/sec warm=%.2fx evals cold=%v warm=%v solve-hit=%.0f%% value-hit=%.0f%%",
+		bench.Jobs, bench.JobsPerSec, bench.WarmSpeedup, bench.ColdEvals, bench.WarmEvals,
 		100*bench.SolveHitRate, 100*bench.CacheHitRate)
 	if !bench.BitIdentical {
 		t.Error("daemon makespans diverged from the serial uncached reference")
@@ -36,5 +36,16 @@ func TestServiceBenchGate(t *testing.T) {
 	}
 	if bench.WarmSpeedup < 1.5 {
 		t.Errorf("warm-vs-cold speedup %.2fx below the 1.5x gate", bench.WarmSpeedup)
+	}
+	// The exact companion of the wall-clock gate: every warm round runs
+	// at most 1/1.5 of its cold round's objective evaluations.
+	if len(bench.ColdEvals) != bench.SpeedupRounds || len(bench.WarmEvals) != bench.SpeedupRounds {
+		t.Fatalf("evaluations recorded for %d cold and %d warm rounds, want %d each",
+			len(bench.ColdEvals), len(bench.WarmEvals), bench.SpeedupRounds)
+	}
+	for i, cold := range bench.ColdEvals {
+		if warm := bench.WarmEvals[i]; cold <= 0 || 3*warm > 2*cold {
+			t.Errorf("round %d: warm ran %d objective evaluations, cold %d; want warm <= cold/1.5", i, warm, cold)
+		}
 	}
 }

@@ -24,6 +24,7 @@ func TestTracedChaosRunRecordsFaultStory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer baseRT.Finalize()
 	base, err := em3d.RunResilientHMPI(baseRT, pr, em3d.RunOptions{Iters: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +35,7 @@ func TestTracedChaosRunRecordsFaultStory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("em3d-chaos", trace.Options{})
 	if err := killSchedule(base.Selection, base.Time, kills).Attach(rt.World(), nil); err != nil {
 		t.Fatal(err)

@@ -69,6 +69,7 @@ func TestTraceReportEM3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, rec := tracedRuntime(t, "em3d")
+	defer rt.Finalize()
 	res, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +83,7 @@ func TestTraceReportMatmul(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, rec := tracedRuntime(t, "matmul")
+	defer rt.Finalize()
 	res, err := matmul.RunHMPI(rt, pr, []int{9}, matmul.RunOptions{})
 	if err != nil {
 		t.Fatal(err)

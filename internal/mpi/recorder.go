@@ -1,11 +1,10 @@
 package mpi
 
 // Structured event recording (see internal/trace): the observability
-// subsystem's view of the message-passing layer. Unlike the legacy Trace
-// (trace.go), which collects flat activity intervals behind a mutex for
-// the Gantt view, the Recorder shards per rank, captures collectives with
-// their resolved algorithm, and feeds the exporters and analyses of the
-// trace package.
+// subsystem's view of the message-passing layer and its only event
+// stream. The Recorder shards per rank, captures compute, send and recv
+// intervals and collectives with their resolved algorithm, and feeds the
+// exporters, the analyses and the Gantt view of `hmpirun -trace`.
 //
 // Every instrumentation site guards on a single nil check, so a world
 // without a recorder pays no allocations and no atomic traffic — the

@@ -68,6 +68,74 @@ func TestRecorderSendRecvEvents(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsActivity checks that the recorder sees one compute,
+// one send and one receive with the right ranks, peers, tag and size,
+// and that the merged stream is ordered by start time.
+func TestTraceRecordsActivity(t *testing.T) {
+	w := newTestWorld(t, 2)
+	rec := attachRecorder(w)
+	runWorld(t, w, func(p *Proc) error {
+		comm := p.CommWorld()
+		if p.Rank() == 0 {
+			p.Compute(10)
+			comm.Send(1, 5, make([]byte, 1000))
+		} else {
+			comm.Recv(0, 5)
+		}
+		return nil
+	})
+	events := rec.Data().Events()
+	var compute, send, recv int
+	for _, e := range events {
+		switch e.Kind {
+		case trace.KindCompute:
+			compute++
+			if e.Rank != 0 || e.End-e.Start <= 0 {
+				t.Errorf("bad compute event %+v", e)
+			}
+		case trace.KindSend:
+			send++
+			if e.Peer != 1 || e.Bytes != 1000 || e.Tag != 5 {
+				t.Errorf("bad send event %+v", e)
+			}
+		case trace.KindRecv:
+			recv++
+			if e.Rank != 1 || e.Peer != 0 {
+				t.Errorf("bad recv event %+v", e)
+			}
+		}
+	}
+	if compute != 1 || send != 1 || recv != 1 {
+		t.Fatalf("event counts: compute %d send %d recv %d", compute, send, recv)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Start < events[i-1].Start {
+			t.Fatal("events not sorted")
+		}
+	}
+}
+
+// TestTraceSummary checks the per-rank compute time derived from the
+// recorded events.
+func TestTraceSummary(t *testing.T) {
+	w := newTestWorld(t, 2)
+	rec := attachRecorder(w)
+	runWorld(t, w, func(p *Proc) error {
+		if p.Rank() == 0 {
+			p.Compute(10) // 1 s on machine 0 (speed 10)
+			p.Compute(10)
+		}
+		return nil
+	})
+	sum := trace.Breakdown(rec.Data())
+	if got := sum[0].Compute; got != 2 {
+		t.Fatalf("compute time rank 0 = %v, want 2", got)
+	}
+	if got := sum[1].Compute; got != 0 {
+		t.Fatalf("compute time rank 1 = %v, want 0", got)
+	}
+}
+
 // TestRecorderCollectiveAlgNames pins the contract that KindColl events
 // carry the RESOLVED algorithm (name and code), not the Auto request:
 // the trace must say what actually ran.

@@ -2,16 +2,18 @@
 // a low-overhead structured event recorder threaded through the message
 // passing library (internal/mpi), the HMPI runtime (internal/hmpi) and the
 // fault injector (internal/chaos), plus exporters (Chrome trace-event
-// JSON, a compact binary format), trace analyses (per-link traffic
-// matrices, per-rank activity breakdown, critical-path extraction over the
-// happens-before graph) and a predicted-vs-observed report that replays a
-// trace through the cost models of internal/estimator.
+// JSON, a compact binary format, a text Gantt chart), trace analyses
+// (per-link traffic matrices, per-rank activity breakdown, critical-path
+// extraction over the happens-before graph) and a predicted-vs-observed
+// report that replays a trace through the cost models of
+// internal/estimator.
 //
-// Recording model: one shard per world rank, each a fixed-capacity ring of
-// Event values. Every event is emitted by the goroutine of the rank it
-// describes (simulated processes are goroutine-confined), so each shard
-// has exactly one writer and appends without locks; the published count is
-// an atomic so concurrent metadata reads see a consistent prefix. When the
+// Recording model: one shard per world rank, each a bounded ring of Event
+// values that grows on demand up to its capacity and then wraps. Every
+// event is emitted by the goroutine of the rank it describes (simulated
+// processes are goroutine-confined), so each shard has exactly one writer
+// and appends without locks; the published count is an atomic so
+// concurrent metadata reads see a consistent prefix. When the
 // recorder is not attached the instrumentation in mpi/hmpi is a single nil
 // check — zero allocations, no atomic traffic.
 //
@@ -127,9 +129,9 @@ func BitsFloat(v int64) float64 { return math.Float64frombits(uint64(v)) }
 
 // Options tune a Recorder.
 type Options struct {
-	// ShardCap is the number of events retained per rank; older events
-	// are overwritten and counted as dropped. Zero means the default
-	// (16384 events/rank).
+	// ShardCap is the number of events retained per rank, grown on
+	// demand up to this bound; older events are then overwritten and
+	// counted as dropped. Zero means the default (16384 events/rank).
 	ShardCap int
 }
 
@@ -178,7 +180,8 @@ type regionFrame struct {
 
 // shard is the per-rank ring buffer. Single writer (the rank's own
 // goroutine); n is atomic so post-run readers and metric snapshots load a
-// published count.
+// published count. events grows by append until it holds the recorder's
+// cap events, then wraps in place.
 type shard struct {
 	events  []Event
 	n       atomic.Int64 // total emitted (monotone; retained = min(n, cap))
@@ -198,20 +201,22 @@ type shard struct {
 // read after the run with Data.
 type Recorder struct {
 	start  time.Time
+	cap    int64 // per-shard ring capacity; fixed, so Dropped never reads a ring
 	shards []shard
 	meta   Meta
 }
 
-// NewRecorder creates a recorder for nranks ranks.
+// NewRecorder creates a recorder for nranks ranks. Rings start empty and
+// grow as events arrive, so a recorder costs memory only for what it
+// records.
 func NewRecorder(nranks int, opts Options) *Recorder {
 	cap := opts.ShardCap
 	if cap <= 0 {
 		cap = defaultShardCap
 	}
-	r := &Recorder{start: time.Now(), shards: make([]shard, nranks)}
+	r := &Recorder{start: time.Now(), cap: int64(cap), shards: make([]shard, nranks)}
 	r.meta.NRanks = nranks
 	for i := range r.shards {
-		r.shards[i].events = make([]Event, cap)
 		r.shards[i].regions = make([]regionFrame, 0, 8)
 	}
 	return r
@@ -230,7 +235,11 @@ func (r *Recorder) NowNS() int64 { return time.Since(r.start).Nanoseconds() }
 func (r *Recorder) Emit(rank int, e Event) {
 	s := &r.shards[rank]
 	n := s.n.Load()
-	s.events[n%int64(len(s.events))] = e
+	if n < r.cap {
+		s.events = append(s.events, e)
+	} else {
+		s.events[n%r.cap] = e
+	}
 	s.n.Store(n + 1)
 }
 
@@ -333,8 +342,8 @@ func (r *Recorder) Dropped() int64 {
 	var d int64
 	for i := range r.shards {
 		s := &r.shards[i]
-		if n, c := s.n.Load(), int64(len(s.events)); n > c {
-			d += n - c
+		if n := s.n.Load(); n > r.cap {
+			d += n - r.cap
 		}
 	}
 	return d
@@ -345,7 +354,7 @@ func (r *Recorder) Dropped() int64 {
 func (r *Recorder) RankEvents(rank int) []Event {
 	s := &r.shards[rank]
 	n := s.n.Load()
-	c := int64(len(s.events))
+	c := r.cap
 	if n <= c {
 		return append([]Event(nil), s.events[:n]...)
 	}

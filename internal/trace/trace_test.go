@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/vclock"
@@ -41,6 +42,49 @@ func TestRecorderNoWrap(t *testing.T) {
 	evs := r.RankEvents(1)
 	if len(evs) != 1 || evs[0].Kind != KindSend {
 		t.Fatalf("rank 1 events = %+v", evs)
+	}
+}
+
+// TestNewRecorderAllocatesNoRing: rings grow as events arrive, so a
+// recorder costs almost nothing until it records, whatever its cap.
+func TestNewRecorderAllocatesNoRing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(9, Options{ShardCap: 1 << 16})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewRecorder(9, 1<<16) allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
+// TestRecorderDroppedConcurrent reads Dropped from another goroutine
+// while a rank emits past its cap (run under -race).
+func TestRecorderDroppedConcurrent(t *testing.T) {
+	const cap = 64
+	r := NewRecorder(2, Options{ShardCap: cap})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 4*cap; i++ {
+			r.Emit(0, Event{Rank: 0, Kind: KindCompute, Peer: -1, Start: vclock.Time(i), End: vclock.Time(i) + 1})
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if d := r.Dropped(); d < 0 || d > 3*cap {
+			t.Fatalf("Dropped = %d mid-run, want within [0, %d]", d, 3*cap)
+		}
+	}
+	if got := r.Dropped(); got != 3*cap {
+		t.Fatalf("Dropped = %d, want %d", got, 3*cap)
+	}
+	if evs := r.RankEvents(0); len(evs) != cap || evs[0].Start != 3*cap {
+		t.Fatalf("retained %d events starting at %v, want %d from %d", len(evs), evs[0].Start, cap, 3*cap)
 	}
 }
 

@@ -81,6 +81,7 @@ func TestE2ECleanRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	model := ringModel(t)
 	rec := rt.EnableRecorder("verify-e2e-clean", trace.Options{})
 	err = runWithTimeout(t, rt, 30*time.Second, func(h *hmpi.Process) error {
@@ -121,6 +122,7 @@ func TestE2EChaosRecreateVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	model := ringModel(t)
 	rec := rt.EnableRecorder("verify-e2e-chaos", trace.Options{})
 	var killed atomic.Bool
@@ -165,6 +167,7 @@ func TestE2EOverlapRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("verify-e2e-overlap", trace.Options{})
 	pr, err := em3d.Generate(em3d.Config{P: 5, TotalNodes: 2000})
 	if err != nil {
@@ -195,6 +198,7 @@ func TestE2ENonblockingCollectivesVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("verify-e2e-nbcoll", trace.Options{})
 	err = runWithTimeout(t, rt, 30*time.Second, func(h *hmpi.Process) error {
 		comm := h.CommWorld()
